@@ -40,7 +40,6 @@ class AppEnv:
         hadoop_config: Optional[HadoopConfig] = None,
         obs: bool = False,
         journal=None,
-        trace_max_records: Optional[int] = None,
         fabric: Optional[str] = None,
         partitioner: Optional[str] = None,
         rack_size: Optional[int] = None,
@@ -63,10 +62,7 @@ class AppEnv:
             hamr_config.partitioner = partitioner
             hadoop_config = hadoop_config or HadoopConfig()
             hadoop_config.partitioner = partitioner
-        self.cluster = Cluster(
-            self.spec, obs=obs, journal=journal,
-            trace_max_records=trace_max_records,
-        )
+        self.cluster = Cluster(self.spec, obs=obs, journal=journal)
         self.dfs = DFS(self.cluster)
         self.localfs = LocalFS(self.cluster)
         self.kvstore = KVStore(self.cluster)

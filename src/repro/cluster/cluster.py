@@ -1,4 +1,4 @@
-"""The assembled cluster: nodes + network + resource manager + trace."""
+"""The assembled cluster: nodes + network + resource manager + tracer."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.cluster.yarn import ResourceManager
 from repro.common.partitioner import HashPartitioner, Partitioner
 from repro.obs import Tracer, telemetry
-from repro.sim import Simulator, Trace
+from repro.sim import Simulator
 
 
 class Cluster:
@@ -31,23 +31,17 @@ class Cluster:
         self,
         spec: ClusterSpec,
         sim: Simulator | None = None,
-        trace: bool = True,
         obs: bool = False,
-        trace_max_records: int | None = None,
         journal=None,
     ):
         self.spec = spec
         self.sim = sim if sim is not None else Simulator()
-        self.trace = Trace(self.sim, enabled=trace, max_records=trace_max_records)
         # The journal attaches at tracer construction: _wire_telemetry
         # below captures metric handles in closures, and those creations
         # must already be journaled.
         self.obs = Tracer(self.sim, enabled=obs, journal=journal)
         self.nodes = [
-            Node(
-                self.sim, node_id, spec.spec_for(node_id), spec.cost,
-                trace=self.trace, obs=self.obs,
-            )
+            Node(self.sim, node_id, spec.spec_for(node_id), spec.cost, obs=self.obs)
             for node_id in range(spec.num_nodes)
         ]
         #: shard-aware ownership override: worker indices (in partition

@@ -6,7 +6,7 @@ Each node bundles the sim resources one physical machine contributes:
 * a memory account in scaled logical bytes;
 * five local disks striped into one logical device (``disk``);
 * NIC egress/ingress pipes used by the :class:`~repro.cluster.network.Network`;
-* a per-node trace shared with the engines.
+* the cluster's observability tracer, shared with the engines.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.sim.resources import StripedBandwidth
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Tracer
-    from repro.sim.monitor import Trace
 
 
 class Node:
@@ -33,14 +32,12 @@ class Node:
         node_id: int,
         spec: NodeSpec,
         cost: CostModel,
-        trace: "Trace | None" = None,
         obs: "Tracer | None" = None,
     ):
         self.sim = sim
         self.node_id = node_id
         self.spec = spec
         self.cost = cost
-        self.trace = trace
         if obs is None:
             from repro.obs import Tracer  # standalone nodes get a no-op tracer
 
@@ -92,10 +89,6 @@ class Node:
 
     def free(self, nbytes: float) -> None:
         self.memory.free(self.cost.scaled_bytes(nbytes))
-
-    def record_trace(self, category: str, **payload: object) -> None:
-        if self.trace is not None:
-            self.trace.record(category, node=self.node_id, **payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.node_id}>"

@@ -144,8 +144,7 @@ class HamrEngine:
             with obs.span(f"job:{graph.name}", "job", job=graph.name, engine="hamr") as jspan:
                 t0 = sim.now
                 yield sim.timeout(self.cluster.cost.hamr_job_startup)
-                if obs.enabled:
-                    obs.charge(graph.name, STARTUP, sim.now - t0, span=jspan)
+                obs.charge(graph.name, STARTUP, sim.now - t0, span=jspan)
                 events = []
                 for runtime in self.runtimes:
                     events.extend(runtime.start())

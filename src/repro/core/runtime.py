@@ -304,8 +304,7 @@ class NodeRuntime:
                             break
                     else:
                         records = yield from split.read(self.node)
-                    if obs.enabled:
-                        obs.charge(self.job, DISK, sim.now - t0, node=node_id, span=lspan)
+                    obs.charge(self.job, DISK, sim.now - t0, node=node_id, span=lspan)
                     yield from self._process_loaded(instance, records, lease, lspan)
                     if reader is None:
                         break
@@ -330,8 +329,7 @@ class NodeRuntime:
             yield self.node.record_compute(
                 batch.nrecords, batch.nbytes, flowlet.compute_factor
             )
-            if obs.enabled:
-                obs.charge(self.job, COMPUTE, sim.now - t0, node=self.node.node_id, span=span)
+            obs.charge(self.job, COMPUTE, sim.now - t0, node=self.node.node_id, span=span)
             prof = _hostprof.current()
             if prof is None:
                 flowlet.load(instance.ctx, batch.records)
@@ -400,8 +398,7 @@ class NodeRuntime:
                 yield self.node.record_compute(
                     bin_.nrecords / div, bin_.nbytes / div, flowlet.compute_factor
                 )
-                if obs.enabled:
-                    obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=tspan)
+                obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=tspan)
                 if flowlet.kind is FlowletKind.MAP:
                     assert isinstance(flowlet, Map)
                     prof = _hostprof.current()
@@ -466,8 +463,7 @@ class NodeRuntime:
                 1, round(touched[key] * pressure * flowlet.update_weight / in_div)
             )
             yield instance.cell_for(key).update(n_updates)
-        if obs.enabled:
-            obs.charge(self.job, ATOMIC, sim.now - t0, node=self.node.node_id, span=span)
+        obs.charge(self.job, ATOMIC, sim.now - t0, node=self.node.node_id, span=span)
 
     def _spill_accumulators(
         self, instance: FlowletInstance, flowlet: PartialReduce, extra: int, span=None
@@ -528,10 +524,7 @@ class NodeRuntime:
                 yield self.node.record_compute(
                     batch.nrecords / acc_div, batch.nbytes / acc_div, flowlet.compute_factor
                 )
-                if obs.enabled:
-                    obs.charge(
-                        self.job, COMPUTE, self.sim.now - t0, node=node_id, span=fspan
-                    )
+                obs.charge(self.job, COMPUTE, self.sim.now - t0, node=node_id, span=fspan)
                 prof = _hostprof.current()
                 if prof is None:
                     for key, acc in batch:
@@ -609,8 +602,7 @@ class NodeRuntime:
         yield self.node.record_compute(
             bin_.nrecords / div, adj_bytes, self.cost.reduce_collect_factor
         )
-        if self.obs.enabled:
-            self.obs.charge(self.job, COMPUTE, self.sim.now - t0, node=self.node.node_id, span=span)
+        self.obs.charge(self.job, COMPUTE, self.sim.now - t0, node=self.node.node_id, span=span)
         if not self.node.alloc(adj_bytes):
             yield from self._spill_groups(instance, span)
             if not self.node.alloc(adj_bytes):
@@ -743,8 +735,7 @@ class NodeRuntime:
                 yield self.node.record_compute(
                     nrecords / div, nbytes / div, flowlet.compute_factor
                 )
-                if obs.enabled:
-                    obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=rspan)
+                obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=rspan)
                 prof = _hostprof.current()
                 if prof is None:
                     for key in keys:
@@ -778,14 +769,12 @@ class NodeRuntime:
         if disk_bytes:
             t0 = sim.now
             yield self.node.disk_write(disk_bytes)
-            if obs.enabled:
-                obs.charge(self.job, DISK, sim.now - t0, node=self.node.node_id, span=span)
+            obs.charge(self.job, DISK, sim.now - t0, node=self.node.node_id, span=span)
         updates = ctx.take_deferred_updates()
         if updates:
             t0 = sim.now
             yield instance.cell_for("__shared__").update(updates)
-            if obs.enabled:
-                obs.charge(self.job, ATOMIC, sim.now - t0, node=self.node.node_id, span=span)
+            obs.charge(self.job, ATOMIC, sim.now - t0, node=self.node.node_id, span=span)
         for bin_ in ctx.take_sealed():
             yield from self._ship(instance, bin_, lease, span)
         yield from self._flush_sink_output(instance, span)
@@ -803,9 +792,8 @@ class NodeRuntime:
             yield self.node.compute(self.cost.serde_cost(nbytes))
             t1 = sim.now
             yield self.node.disk_write(nbytes)
-            if obs.enabled:
-                obs.charge(self.job, COMPUTE, t1 - t0, node=self.node.node_id, span=span)
-                obs.charge(self.job, DISK, sim.now - t1, node=self.node.node_id, span=span)
+            obs.charge(self.job, COMPUTE, t1 - t0, node=self.node.node_id, span=span)
+            obs.charge(self.job, DISK, sim.now - t1, node=self.node.node_id, span=span)
         self.engine.collect_output(instance.flowlet.name, pairs)
 
     def _ship(
@@ -833,8 +821,7 @@ class NodeRuntime:
             yield self.node.record_compute(
                 bin_.nrecords / in_div, bin_.nbytes / in_div, 0.5
             )
-            if obs.enabled:
-                obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=span)
+            obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=span)
             new_bin = Bin(
                 bin_.edge_id,
                 bin_.partition,
@@ -877,21 +864,18 @@ class NodeRuntime:
             yield self.node.compute(
                 self.cost.serde_cost(bin_.nbytes / ship_div) * fabric.serde_factor
             )
-            if obs.enabled:
-                obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=span)
+            obs.charge(self.job, COMPUTE, sim.now - t0, node=node_id, span=span)
         if self.engine.config.stage_edges_on_disk:
             t0 = sim.now
             yield self.node.disk_write(bin_.nbytes / ship_div)
-            if obs.enabled:
-                obs.charge(self.job, DISK, sim.now - t0, node=node_id, span=span)
+            obs.charge(self.job, DISK, sim.now - t0, node=node_id, span=span)
         for delivery in plan.deliveries:
             dst_runtime = self.engine.runtimes[delivery.target]
             dst_instance = dst_runtime.instance(edge.dst.name)
             if self.engine.config.stage_edges_on_disk:
                 t0 = sim.now
                 yield self.node.disk_read(bin_.nbytes / ship_div)
-                if obs.enabled:
-                    obs.charge(self.job, DISK, sim.now - t0, node=node_id, span=span)
+                obs.charge(self.job, DISK, sim.now - t0, node=node_id, span=span)
             with obs.span(
                 "ship", "shuffle", node=node_id, job=self.job,
                 flowlet=instance.flowlet.name, dst_node=dst_runtime.node.node_id,
@@ -910,8 +894,7 @@ class NodeRuntime:
                         self.engine.runtimes[hop.dst].node,
                         hop.nbytes,
                     )
-                if obs.enabled:
-                    obs.charge(self.job, NETWORK, sim.now - t0, node=node_id, span=ship_span)
+                obs.charge(self.job, NETWORK, sim.now - t0, node=node_id, span=ship_span)
             if ship_span.span_id:
                 bin_.trace_src = ship_span.span_id
             self.engine.metrics["bins_shipped"] = self.engine.metrics.get("bins_shipped", 0) + 1
@@ -921,9 +904,6 @@ class NodeRuntime:
                 self.stalls_total += 1
                 self.engine.metrics["flow_stalls"] = (
                     self.engine.metrics.get("flow_stalls", 0) + 1
-                )
-                self.node.record_trace(
-                    "flow_stall", flowlet=instance.flowlet.name, dst=edge.dst.name
                 )
                 obs.count("flow.stalls", node=node_id)
                 with obs.span(
@@ -939,8 +919,7 @@ class NodeRuntime:
                     else:
                         yield dst_instance.inbox.put(bin_, weight=bin_.nbytes)
                         yield from self._maybe_throttle_loader(instance)
-                    if obs.enabled:
-                        obs.charge(self.job, STALL, sim.now - t0, node=node_id, span=span)
+                    obs.charge(self.job, STALL, sim.now - t0, node=node_id, span=span)
                 # Wait-for: the stalled producer resumed because the consumer
                 # node freed inbox space — its most recent finished task is
                 # the cause.
@@ -961,7 +940,6 @@ class NodeRuntime:
         if instance.stall_streak < config.throttle_stall_threshold:
             return
         instance.stall_streak = 0
-        self.node.record_trace("loader_throttle", flowlet=instance.flowlet.name)
         self.engine.metrics["loader_throttles"] = (
             self.engine.metrics.get("loader_throttles", 0) + 1
         )

@@ -410,24 +410,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="`analytics`: simulated workers per engine cluster (default 3)",
     )
-    parser.add_argument(
-        "--trace-max-records",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bound the sim-trace ring buffer for `report`/`timeline`/"
-        "`journal` (oldest records are evicted past N; evictions are "
-        "surfaced as a WARNING and counted in journal footers)",
-    )
     args = parser.parse_args(argv)
 
-    if args.trace_max_records is not None and args.trace_max_records <= 0:
-        print(
-            f"error: --trace-max-records must be positive "
-            f"(got {args.trace_max_records})",
-            file=sys.stderr,
-        )
-        return 2
     if args.racks is not None and args.racks <= 0:
         print(
             f"error: --racks must be positive (got {args.racks})",
@@ -595,7 +579,7 @@ def _engine_label(engine: str, fabric: str) -> str:
 
 def _engine_column(row, engine: str, attr: str):
     """The per-engine field of a BenchmarkRow (``hamr_obs``/``hadoop_obs``,
-    journals, monitors, drop counters, makespans...)."""
+    journals, monitors, makespans...)."""
     if attr == "seconds":
         return row.hamr_seconds if engine == "hamr" else row.idh_seconds
     return getattr(row, f"{engine}_{attr}")
@@ -635,17 +619,6 @@ def _diff(args) -> int:
     if args.fail_on_drift and not result.ok:
         return 1
     return 0
-
-
-def _warn_dropped(dropped: int, context: str) -> None:
-    """Surface sim-trace ring-buffer evictions (satellite of the journal
-    work: silently truncated traces must never read as complete)."""
-    if dropped:
-        print(
-            f"WARNING: {dropped} trace records dropped ({context}; "
-            "raise --trace-max-records to keep them)",
-            file=sys.stderr,
-        )
 
 
 def _journal_path(out: str, workloads: list[str], engines: list[str],
@@ -692,14 +665,10 @@ def _journal(args) -> int:
             workload,
             engines=args.engine,
             journal=lambda engine: JournalWriter(meta={"fidelity": args.fidelity}),
-            trace_max_records=args.trace_max_records,
             **_fabric_opts(args, workload),
         )
         for engine in engines:
             writer = _engine_column(row, engine, "journal")
-            _warn_dropped(
-                _engine_column(row, engine, "trace_dropped"), f"{name} on {engine}"
-            )
             path = _journal_path(out, workloads, engines, name, engine)
             if seeded is not None:
                 bucket, factor = seeded
@@ -783,15 +752,11 @@ def _watch(args) -> int:
             engines=args.engine,
             journal=lambda engine: JournalWriter(meta={"fidelity": args.fidelity}),
             watch=_monitor,
-            trace_max_records=args.trace_max_records,
             **_fabric_opts(args, workload),
         )
         for engine in engines:
             monitor = _engine_column(row, engine, "watch")
             writer = _engine_column(row, engine, "journal")
-            _warn_dropped(
-                _engine_column(row, engine, "trace_dropped"), f"{name} on {engine}"
-            )
             records = writer.records
             makespan = _engine_column(row, engine, "seconds")
             frames = monitor.frames
@@ -910,14 +875,9 @@ def _slo(args) -> int:
                 workload,
                 engines=args.engine,
                 obs=True,
-                trace_max_records=args.trace_max_records,
                 **_fabric_opts(args, workload),
             )
             for engine in engines:
-                _warn_dropped(
-                    _engine_column(row, engine, "trace_dropped"),
-                    f"{name} on {engine}",
-                )
                 results.append(
                     evaluate_tracer(
                         name,
@@ -996,7 +956,6 @@ def _replay(args) -> int:
             "cover the recorded prefix only",
             file=sys.stderr,
         )
-    _warn_dropped(run.trace_dropped, f"recorded in {args.name}")
     tracer = run.tracer
     if args.view == "report":
         from repro.evaluation.obsreport import (
@@ -1006,11 +965,7 @@ def _replay(args) -> int:
         )
 
         if args.json != "-":
-            print(
-                render_report(
-                    tracer, title=run.title(), trace_dropped=run.trace_dropped
-                )
-            )
+            print(render_report(tracer, title=run.title()))
             print()
         if args.json:
             payload = {
@@ -1021,7 +976,6 @@ def _replay(args) -> int:
                         tracer,
                         run.workload,
                         run.engine,
-                        trace_dropped=run.trace_dropped,
                     )
                 },
             }
@@ -1149,7 +1103,6 @@ def _explain_side(ref: str, args):
                 f"WARNING: {ref} is partial (reconstructed footer)",
                 file=sys.stderr,
             )
-        _warn_dropped(run.trace_dropped, f"recorded in {ref}")
         meta = {
             k: v
             for k, v in (
@@ -1176,14 +1129,9 @@ def _explain_side(ref: str, args):
         wl,
         engines=engine,
         obs=True,
-        trace_max_records=args.trace_max_records,
         **_fabric_opts(args, workload=wl),
     )
     tracer = row.hamr_obs if engine == "hamr" else row.hadoop_obs
-    dropped = (
-        row.hamr_trace_dropped if engine == "hamr" else row.hadoop_trace_dropped
-    )
-    _warn_dropped(dropped, ref)
     meta = {"workload": workload, "engine": engine, "fidelity": args.fidelity}
     if args.fabric != "direct":
         meta["fabric"] = args.fabric
@@ -1270,10 +1218,8 @@ def _whatif(args) -> int:
             wl,
             engines=engine,
             journal=lambda e: JournalWriter(meta={"fidelity": args.fidelity}),
-            trace_max_records=args.trace_max_records,
             **_fabric_opts(args, workload=wl),
         )
-        _warn_dropped(_engine_column(row, engine, "trace_dropped"), ref)
         records = _engine_column(row, engine, "journal").records
 
     try:
@@ -1577,7 +1523,6 @@ def _doctor(args) -> int:
                 f"WARNING: {path} is partial (reconstructed footer)",
                 file=sys.stderr,
             )
-        _warn_dropped(run.trace_dropped, f"recorded in {path}")
         runs.append(run)
     report = diagnose(runs[0], runs[1], path_a, path_b, shift=shift)
     if args.json != "-":
@@ -1648,7 +1593,6 @@ def _timeline(args) -> int:
         workload = workload_by_name(name, args.fidelity)
         row = run_workload(
             workload, engines=args.engine, obs=True,
-            trace_max_records=args.trace_max_records,
             **_fabric_opts(args, workload),
         )
         traced = [
@@ -1663,8 +1607,6 @@ def _timeline(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        _warn_dropped(row.hamr_trace_dropped, f"{name} on hamr")
-        _warn_dropped(row.hadoop_trace_dropped, f"{name} on hadoop")
         for engine, tracer in traced:
             makespan = row.hamr_seconds if engine == "hamr" else row.idh_seconds
             if args.json != "-":
@@ -1709,9 +1651,7 @@ def _report(args) -> int:
         return filters
     workload = workload_by_name(args.workload, args.fidelity)
     row = run_workload(
-        workload, engines=args.engine,
-        obs=True, trace_max_records=args.trace_max_records,
-        **_fabric_opts(args, workload),
+        workload, engines=args.engine, obs=True, **_fabric_opts(args, workload)
     )
     traced = [
         (engine, tracer)
@@ -1725,8 +1665,6 @@ def _report(args) -> int:
             file=sys.stderr,
         )
         return 2
-    _warn_dropped(row.hamr_trace_dropped, f"{args.workload} on hamr")
-    _warn_dropped(row.hadoop_trace_dropped, f"{args.workload} on hadoop")
     for engine, tracer in traced:
         makespan = row.hamr_seconds if engine == "hamr" else row.idh_seconds
         if args.json != "-":
@@ -1736,7 +1674,6 @@ def _report(args) -> int:
                     tracer,
                     title=f"== {row.label} ({row.data_size}) on {label} — "
                     f"makespan {makespan:.3f}s ==",
-                    trace_dropped=_engine_column(row, engine, "trace_dropped"),
                 )
             )
             print()
@@ -1749,7 +1686,6 @@ def _report(args) -> int:
                     tracer,
                     args.workload,
                     engine,
-                    trace_dropped=_engine_column(row, engine, "trace_dropped"),
                 )
                 for engine, tracer in traced
             },

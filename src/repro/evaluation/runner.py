@@ -49,9 +49,6 @@ class BenchmarkRow:
     #: unless ``profile=True``) — host ns per bucket/operator, clock track
     hamr_hostprof: Optional[dict] = field(default=None, repr=False)
     hadoop_hostprof: Optional[dict] = field(default=None, repr=False)
-    #: sim-trace ring-buffer evictions per engine run (0 = nothing lost)
-    hamr_trace_dropped: int = 0
-    hadoop_trace_dropped: int = 0
     #: run journals (repro.obs.journal JournalWriters; None unless a
     #: journal factory was passed to run_workload)
     hamr_journal: Optional[object] = field(default=None, repr=False)
@@ -85,7 +82,6 @@ def run_workload(
     profile: bool = False,
     journal=None,
     watch=None,
-    trace_max_records: Optional[int] = None,
     fabric: Optional[str] = None,
     partitioner: Optional[str] = None,
     rack_size: Optional[int] = None,
@@ -104,10 +100,8 @@ def run_workload(
     ``journal`` is a factory ``engine_name -> JournalWriter`` (or a bool;
     True creates in-memory writers). Each engine run gets its own writer
     with a header written before the cluster is built (telemetry wiring
-    already emits events) and a footer carrying the run's makespan,
-    virtual end time and the sim-trace drop counter. Journaling implies
-    ``obs=True``. ``trace_max_records`` bounds the sim trace's ring
-    buffer (see :class:`repro.sim.Trace`).
+    already emits events) and a footer carrying the run's makespan and
+    virtual end time. Journaling implies ``obs=True``.
 
     ``watch`` turns on live monitoring (implies ``obs=True``): True or a
     :class:`~repro.obs.live.WatchConfig` attaches a fresh
@@ -178,8 +172,7 @@ def run_workload(
                 header["commit"] = commit
             writer.write_header(**header)
         env = workload.fresh_env(
-            obs=obs, journal=writer, trace_max_records=trace_max_records,
-            fabric=fabric, partitioner=partitioner, rack_size=rack_size,
+            obs=obs, journal=writer, fabric=fabric, partitioner=partitioner, rack_size=rack_size,
         )
         monitor = None
         if watch is not None and watch is not False:
@@ -196,21 +189,13 @@ def run_workload(
             # terminal frame before the footer seals the journal
             monitor.finish(result.makespan)
         if writer is not None:
-            trace = env.cluster.trace.summary()
-            writer.write_footer(
-                makespan=result.makespan,
-                virtual_end=env.cluster.sim.now,
-                trace_records=trace["records"],
-                trace_dropped=trace["dropped"],
-                trace_max_records=trace["max_records"],
-            )
+            writer.write_footer(makespan=result.makespan, virtual_end=env.cluster.sim.now)
         return env, result, wall, prof, writer, monitor
 
     hamr_result = hadoop_result = None
     hamr_obs = hadoop_obs = None
     hamr_wall = hadoop_wall = 0.0
     hamr_prof = hadoop_prof = None
-    hamr_dropped = hadoop_dropped = 0
     hamr_writer = hadoop_writer = None
     hamr_monitor = hadoop_monitor = None
     if engines in ("both", "hamr"):
@@ -218,13 +203,11 @@ def run_workload(
             workload.run_hamr, "hamr"
         )
         hamr_obs = env.obs if obs else None
-        hamr_dropped = env.cluster.trace.dropped
     if engines in ("both", "hadoop"):
         env, hadoop_result, hadoop_wall, hadoop_prof, hadoop_writer, hadoop_monitor = (
             _engine_run(workload.run_hadoop, "hadoop")
         )
         hadoop_obs = env.obs if obs else None
-        hadoop_dropped = env.cluster.trace.dropped
     return BenchmarkRow(
         name=workload.name,
         label=workload.label,
@@ -240,8 +223,6 @@ def run_workload(
         hadoop_wall_seconds=hadoop_wall,
         hamr_hostprof=hamr_prof,
         hadoop_hostprof=hadoop_prof,
-        hamr_trace_dropped=hamr_dropped,
-        hadoop_trace_dropped=hadoop_dropped,
         hamr_journal=hamr_writer,
         hadoop_journal=hadoop_writer,
         hamr_watch=hamr_monitor,

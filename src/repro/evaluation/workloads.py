@@ -65,14 +65,12 @@ class Workload:
         self,
         obs: bool = False,
         journal=None,
-        trace_max_records=None,
         fabric=None,
         partitioner=None,
         rack_size=None,
     ) -> AppEnv:
         return AppEnv(
             self.spec(), obs=obs, journal=journal,
-            trace_max_records=trace_max_records,
             fabric=fabric, partitioner=partitioner, rack_size=rack_size,
         )
 

@@ -169,8 +169,7 @@ class HadoopEngine:
         obs = self.obs
         t0 = sim.now
         yield sim.timeout(cost.hadoop_job_startup)
-        if obs.enabled:
-            obs.charge(job.name, STARTUP, sim.now - t0, span=jspan)
+        obs.charge(job.name, STARTUP, sim.now - t0, span=jspan)
 
         splits = self.dfs.splits(job.input_file)
         num_reducers = job.num_reducers or self.num_workers
@@ -385,8 +384,7 @@ class HadoopEngine:
             ) as mspan:
                 t0 = sim.now
                 yield sim.timeout(cost.hadoop_task_startup)  # container/JVM launch
-                if obs.enabled:
-                    obs.charge(job.name, STARTUP, sim.now - t0, node=node.node_id, span=mspan)
+                obs.charge(job.name, STARTUP, sim.now - t0, node=node.node_id, span=mspan)
                 records = yield from self.dfs.read_block(
                     split.block, node, cost_divisor=in_div, job=job.name, span=mspan
                 )
@@ -395,8 +393,7 @@ class HadoopEngine:
                 yield node.record_compute(
                     split.nrecords / in_div, split.nbytes / in_div, job.mapper.compute_factor
                 )
-                if obs.enabled:
-                    obs.charge(job.name, COMPUTE, sim.now - t0, node=node.node_id, span=mspan)
+                obs.charge(job.name, COMPUTE, sim.now - t0, node=node.node_id, span=mspan)
                 if fail:
                     # the attempt dies after burning its input read and compute
                     return False
@@ -457,9 +454,8 @@ class HadoopEngine:
                     )
                     yield node.disk_read(total_bytes / out_div)
                     yield node.disk_write(total_bytes / out_div)
-                if obs.enabled:
-                    obs.charge(job.name, COMPUTE, t1 - t0, node=node.node_id, span=mspan)
-                    obs.charge(job.name, DISK, sim.now - t1, node=node.node_id, span=mspan)
+                obs.charge(job.name, COMPUTE, t1 - t0, node=node.node_id, span=mspan)
+                obs.charge(job.name, DISK, sim.now - t1, node=node.node_id, span=mspan)
                 if out.done.triggered:
                     return True  # lost the race; the winner's output stands
                 if backup:
@@ -498,8 +494,7 @@ class HadoopEngine:
             with obs.span("reduce", "task", node=node.node_id, job=job.name, reducer=r) as rspan:
                 t0 = sim.now
                 yield sim.timeout(cost.hadoop_task_startup)
-                if obs.enabled:
-                    obs.charge(job.name, STARTUP, sim.now - t0, node=node.node_id, span=rspan)
+                obs.charge(job.name, STARTUP, sim.now - t0, node=node.node_id, span=rspan)
                 # Fetched data lands in this reduce task's container heap (a
                 # ~1 GB JVM, not the whole node) — overflowing it spills to
                 # local disk and pays a read-back at merge time.
@@ -637,8 +632,7 @@ class HadoopEngine:
                 yield node.record_compute(
                     merge_records / merge_div, merge_bytes / merge_div, job.reducer.compute_factor
                 )
-                if obs.enabled:
-                    obs.charge(job.name, COMPUTE, sim.now - t0, node=node.node_id, span=rspan)
+                obs.charge(job.name, COMPUTE, sim.now - t0, node=node.node_id, span=rspan)
                 if prof is None:
                     for key in sorted(groups, key=repr):
                         job.reducer.reduce(ctx, key, groups[key])

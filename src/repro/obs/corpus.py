@@ -108,7 +108,6 @@ def summarize_records(
         "makespan": round(run.makespan, 6),
         "virtual_end": round(run.virtual_end, 6),
         "events": run.footer.get("events", 0),
-        "trace_dropped": run.trace_dropped,
         # blame summed over every traced job: the fleet view wants the
         # whole run's composition, not just the first job's
         "blame": {bucket: round(blame[bucket], 6) for bucket in sorted(blame)},
@@ -314,8 +313,6 @@ def render_corpus(rows: list[dict]) -> str:
             flags.append("partial")
         if row.get("seeded_slowdown"):
             flags.append("seeded")
-        if row.get("trace_dropped"):
-            flags.append(f"dropped={row['trace_dropped']}")
         lines.append(
             f"{row['fingerprint'][:12]:<12} {(row.get('workload') or '-'):<20} "
             f"{(row.get('engine') or '-'):<8} {(row.get('fabric') or '-'):<9} "
@@ -338,8 +335,7 @@ def render_row(row: dict) -> str:
         f"nodes={row.get('nodes')} rack_size={row.get('rack_size')}",
         f"provenance  commit={row.get('commit') or '-'} "
         f"fidelity={row.get('fidelity') or '-'} "
-        f"partial={bool(row.get('partial'))} "
-        f"trace_dropped={row.get('trace_dropped', 0)}",
+        f"partial={bool(row.get('partial'))}",
         f"makespan    {row.get('makespan', 0.0):.3f}s "
         f"(virtual end {row.get('virtual_end', 0.0):.3f}s, "
         f"{row.get('events', 0)} events)",

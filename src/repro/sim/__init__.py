@@ -48,7 +48,6 @@ from repro.sim.resources import (
     SerializedCell,
 )
 from repro.sim.queues import QueueClosed, SimQueue
-from repro.sim.monitor import Trace, UtilizationMeter
 
 __all__ = [
     "Simulator",
@@ -61,6 +60,4 @@ __all__ = [
     "SerializedCell",
     "SimQueue",
     "QueueClosed",
-    "Trace",
-    "UtilizationMeter",
 ]

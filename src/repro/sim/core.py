@@ -296,8 +296,11 @@ class Simulator:
 
         Returns the final virtual time. Raises :class:`DeadlockError` if
         processes remain blocked with no pending events, and re-raises the
-        first unobserved process failure.
+        first unobserved process failure. An ``until`` before ``now`` is a
+        :class:`SimulationError`: the clock never moves backwards.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(f"run(until={until}) is before now={self.now}")
         while self._heap:
             time, _seq, event = heapq.heappop(self._heap)
             if until is not None and time > until:
@@ -328,30 +331,6 @@ class Simulator:
                 f"simulation deadlocked at t={self.now:g}: blocked processes: {alive}"
             )
         return self.now
-
-    def step(self) -> bool:
-        """Fire a single event; returns False when the queue is empty."""
-        if not self._heap:
-            return False
-        time, _seq, event = heapq.heappop(self._heap)
-        if time < self.now:
-            raise SimulationError(f"time went backwards: {time} < {self.now}")
-        self.now = time
-        prof = self.hostprof
-        if prof is None:
-            event._fire()
-        else:
-            prof.push(_HOSTPROF_KERNEL_BUCKET, "dispatch")
-            try:
-                event._fire()
-            finally:
-                prof.pop()
-            prof.tick(self.now)
-        progress = self.progress
-        if progress is not None:
-            progress.tick(self.now)
-        self._raise_unobserved_failure()
-        return True
 
     @property
     def pending_events(self) -> int:

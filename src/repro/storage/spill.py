@@ -111,7 +111,6 @@ class SpillManager:
         obs.count("spill.bytes", nbytes, node=node_id)
         if free_memory:
             self.node.free(nbytes)
-        self.node.record_trace("spill", nbytes=nbytes, run_id=run.run_id)
         return run
 
     def read_back(self, run: SpillRun, reacquire_memory: bool = False):

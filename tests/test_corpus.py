@@ -38,12 +38,14 @@ from repro.obs.corpus import (
     summarize_journal,
     summarize_records,
 )
+from repro.evaluation.obsreport import report_json
 from repro.obs.journal import (
     JournalError,
     JournalWriter,
     encode_record,
     seed_bucket_slowdown,
 )
+from repro.obs.replay import replay_file
 
 
 def _journaled_run(seed=0, target_bytes=50_000):
@@ -57,13 +59,7 @@ def _journaled_run(seed=0, target_bytes=50_000):
     )
     env = AppEnv(small_cluster_spec(num_workers=3), obs=True, journal=writer)
     result = wordcount.run_hamr(env, params, records)
-    trace = env.cluster.trace.summary()
-    writer.write_footer(
-        makespan=result.makespan,
-        virtual_end=env.cluster.sim.now,
-        trace_records=trace["records"],
-        trace_dropped=trace["dropped"],
-    )
+    writer.write_footer(makespan=result.makespan, virtual_end=env.cluster.sim.now)
     return writer
 
 
@@ -356,3 +352,77 @@ class TestCorpusCLI:
         rows, _ = ingest([str(journal_dir)])
         assert render_corpus(rows) == render_corpus(list(rows))
         assert render_row(rows[0]) == render_row(dict(rows[0]))
+
+
+# -- journals with legacy footer keys -----------------------------------------------
+
+#: footer keys every journal carried while the kernel kept a second,
+#: ring-buffered sim trace; nothing reads them any more
+LEGACY_FOOTER = {"trace_records": 5, "trace_dropped": 4, "trace_max_records": 5}
+
+
+class TestLegacyFooterKeys:
+    """Journals written with the legacy footer keys stay readable, and
+    every reader ignores those keys (a nonzero drop count warns nowhere)."""
+
+    @pytest.fixture
+    def legacy_dir(self, journal_dir, tmp_path):
+        root = tmp_path / "journals"
+        shutil.copytree(journal_dir, root)
+        records = [dict(r) for r in _journaled_run(seed=0).records]
+        records[-1].update(LEGACY_FOOTER)
+        with open(root / "legacy.journal.jsonl", "w") as fh:
+            for record in records:
+                fh.write(encode_record(record) + "\n")
+        return root
+
+    def test_replays_like_the_same_run_without_the_keys(self, legacy_dir):
+        legacy = replay_file(str(legacy_dir / "legacy.journal.jsonl"))
+        base = replay_file(str(legacy_dir / "base.journal.jsonl"))
+        assert LEGACY_FOOTER.items() <= legacy.footer.items()
+        assert legacy.makespan == base.makespan
+        assert report_json(legacy.tracer, "wordcount", "hamr") == report_json(
+            base.tracer, "wordcount", "hamr"
+        )
+
+    def test_fingerprints_and_summarizes_without_the_keys(self, legacy_dir):
+        path = str(legacy_dir / "legacy.journal.jsonl")
+        legacy = summarize_journal(path)
+        base = summarize_journal(str(legacy_dir / "base.journal.jsonl"))
+        # the footer bytes differ, so the fingerprint does; nothing else
+        assert legacy["fingerprint"] == summarize_journal(path)["fingerprint"]
+        assert legacy["fingerprint"] != base["fingerprint"]
+        for key in LEGACY_FOOTER:
+            assert key not in legacy
+        strip = ("fingerprint", "path")
+        assert {k: v for k, v in legacy.items() if k not in strip} == {
+            k: v for k, v in base.items() if k not in strip
+        }
+
+    def test_ingests_and_renders_in_ls_show_and_doctor(
+        self, legacy_dir, tmp_path, capsys
+    ):
+        index = tmp_path / "corpus.jsonl"
+        assert main(["corpus", "ingest", str(legacy_dir), "--index", str(index)]) == 0
+        assert "4 added" in capsys.readouterr().err
+        assert main(["corpus", "ls", "--index", str(index)]) == 0
+        out = capsys.readouterr().out
+        assert "4 run(s) indexed" in out
+        assert "dropped" not in out
+        legacy = summarize_journal(str(legacy_dir / "legacy.journal.jsonl"))
+        assert main(
+            ["corpus", "show", legacy["fingerprint"][:12], "--index", str(index)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "blame" in out
+        assert not any(key in out for key in LEGACY_FOOTER)
+        assert main([
+            "doctor", str(legacy_dir / "base.journal.jsonl"),
+            str(legacy_dir / "legacy.journal.jsonl"), "--json", "-",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdicts"] == []
+        for side in ("a", "b"):
+            audit = payload[side]["audit"]
+            assert audit["verdict"] == "OK", audit
+            assert not LEGACY_FOOTER.keys() & audit.keys()

@@ -40,8 +40,7 @@ from repro.obs.journal import (
 from repro.obs.replay import replay_file, replay_lines
 
 
-def _run_journaled_wordcount(seed=0, target_bytes=50_000, trace_max_records=None,
-                             sink=None):
+def _run_journaled_wordcount(seed=0, target_bytes=50_000, sink=None):
     """One journaled hamr wordcount run on the small test cluster."""
     params = wordcount.WordCountParams(target_bytes=target_bytes, seed=seed)
     records = wordcount.generate_input(params)
@@ -49,19 +48,9 @@ def _run_journaled_wordcount(seed=0, target_bytes=50_000, trace_max_records=None
     writer.write_header(
         workload="wordcount", label="WordCount", data_size="16GB", engine="hamr"
     )
-    env = AppEnv(
-        small_cluster_spec(num_workers=3), obs=True, journal=writer,
-        trace_max_records=trace_max_records,
-    )
+    env = AppEnv(small_cluster_spec(num_workers=3), obs=True, journal=writer)
     result = wordcount.run_hamr(env, params, records)
-    trace = env.cluster.trace.summary()
-    writer.write_footer(
-        makespan=result.makespan,
-        virtual_end=env.cluster.sim.now,
-        trace_records=trace["records"],
-        trace_dropped=trace["dropped"],
-        trace_max_records=trace_max_records,
-    )
+    writer.write_footer(makespan=result.makespan, virtual_end=env.cluster.sim.now)
     return env, result, writer
 
 
@@ -239,7 +228,6 @@ class TestReplay:
         assert run.engine == "hamr"
         assert run.label == "WordCount"
         assert run.makespan == result.makespan
-        assert run.trace_dropped == 0
         assert "WordCount" in run.title()
 
     def test_replay_reconstructs_wordcount_byte_identically(self):
@@ -280,62 +268,6 @@ class TestReplay:
         writer.write_footer()
         with pytest.raises(JournalError, match="mid-journal"):
             replay_lines(writer.lines)
-
-
-# -- trace drop accounting --------------------------------------------------------
-
-
-class TestTraceDropped:
-    def test_ring_buffer_summary_counts_evictions(self):
-        from repro.sim import Simulator, Trace
-
-        trace = Trace(Simulator(), max_records=3)
-        for i in range(7):
-            trace.record("spill", run=i)
-        summary = trace.summary()
-        assert summary == {"records": 3, "dropped": 4, "max_records": 3}
-        # the newest records are the ones kept
-        assert [r.payload["run"] for r in trace.records] == [4, 5, 6]
-
-    def test_bounded_run_footer_carries_the_drop_count(self):
-        # hadoop naive_bayes spills at tiny (sim-trace records exist),
-        # so a tight bound provably evicts
-        from repro.evaluation.workloads import make_naive_bayes
-
-        row = run_workload(
-            make_naive_bayes("tiny", seed=0), engines="hadoop",
-            journal=True, trace_max_records=5,
-        )
-        footer = row.hadoop_journal.records[-1]
-        assert footer["trace_records"] == 5
-        assert footer["trace_dropped"] == row.hadoop_trace_dropped > 0
-        assert footer["trace_max_records"] == 5
-        run = replay_lines(row.hadoop_journal.lines)
-        assert run.trace_dropped == footer["trace_dropped"]
-        assert run.trace_max_records == 5
-
-    def test_unbounded_trace_drops_nothing(self):
-        env, _result, writer = _run_journaled_wordcount()
-        assert env.cluster.trace.summary()["dropped"] == 0
-        assert writer.records[-1]["trace_dropped"] == 0
-
-    def test_report_warns_on_dropped_records(self, capsys):
-        from repro.evaluation.__main__ import main
-
-        rc = main(["report", "--workload", "naive_bayes", "--engine", "hadoop",
-                   "--fidelity", "tiny", "--trace-max-records", "5",
-                   "--json", "-"])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "WARNING" in err and "trace records dropped" in err
-
-    def test_non_positive_trace_bound_exits_2(self, capsys):
-        from repro.evaluation.__main__ import main
-
-        for bad in ("0", "-3"):
-            assert main(["report", "--workload", "wordcount",
-                         "--trace-max-records", bad]) == 2
-        assert "must be positive" in capsys.readouterr().err
 
 
 # -- seeded synthetic regression --------------------------------------------------

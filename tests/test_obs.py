@@ -314,9 +314,12 @@ class TestTracedRun:
     def test_report_dict_schema(self, traced):
         env, _result = traced
         rep = report_dict(env.obs, "wordcount", "hamr")
-        assert rep["schema"] == "repro.obs.report/v4"
+        assert rep["schema"] == "repro.obs.report/v5"
         assert rep["engine"] == "hamr"
-        assert rep["trace_dropped"] == 0
+        assert set(rep) == {
+            "schema", "workload", "engine", "virtual_end", "blame", "spill",
+            "counters", "span_counts", "critpath", "trace",
+        }
         assert rep["trace"]["schema"] == "repro.obs.trace/v2"
         assert rep["span_counts"]["task"] > 0
         assert rep["critpath"]["schema"] == "repro.obs.critpath/v1"

@@ -96,19 +96,27 @@ class TestRunControl:
         sim.run()
         assert order == ["a", "b"]
 
-    def test_step(self):
+    def test_run_until_in_the_past_raises(self):
         sim = Simulator()
 
         def proc(sim):
-            yield 1.0
-            yield 1.0
+            yield 10.0
 
         sim.spawn(proc(sim))
-        steps = 0
-        while sim.step():
-            steps += 1
-        assert steps >= 2
-        assert sim.now == 2.0
+        assert sim.run(until=5.0) == 5.0
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=2.0)
+        # the clock did not move back: new work is scheduled from t=5
+        assert sim.now == 5.0
+        woke = []
+
+        def sleeper(sim):
+            yield 1.0
+            woke.append(sim.now)
+
+        sim.spawn(sleeper(sim))
+        assert sim.run() == 10.0
+        assert woke == [6.0]
 
 
 class TestQueueEdgeCases:
