@@ -5,15 +5,34 @@ partitions; each node of the cluster owns a contiguous slice of the
 partition space. Python's built-in ``hash`` is randomized per process for
 strings, so all partitioners here are built on a stable FNV-1a hash to keep
 runs reproducible across processes and sessions.
+
+The FNV-1a loop runs once per byte in Python, so ``stable_hash`` memoizes
+the keys that repeat most: one dict per exact key class (``str``, ``int``,
+``bytes``), found by ``key.__class__``. Exact classes keep the memo sound:
+``1``, ``True`` and ``1.0`` compare and hash equal in Python but are
+encoded differently here, and only ``int`` itself reaches the ``int`` memo.
+A hit returns the value a miss would compute, so outputs never depend on
+what an earlier run hashed. Each memo is cleared when it reaches
+``_MEMO_CAP`` entries, which bounds the memory it holds (and the keys it
+keeps alive). Tuples, floats, bools, ``None`` and subclasses are hashed
+uncached, but a tuple's items go back through ``stable_hash`` and so hit
+the memo.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Iterable, Sequence
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# ints are encoded as 16 signed little-endian bytes
+_INT_MIN, _INT_MAX = -(1 << 127), 1 << 127
+
+# Memo entries per exact key class before that class's memo is cleared.
+_MEMO_CAP = 1 << 16
+_MEMOS: dict[type, dict[Any, int]] = {str: {}, int: {}, bytes: {}}
 
 
 def _fnv1a(data: bytes) -> int:
@@ -28,8 +47,22 @@ def stable_hash(key: Any) -> int:
     """A process-stable 64-bit hash of a key.
 
     Supports the key types the benchmarks produce: ``str``, ``bytes``,
-    ``int``, ``float``, ``bool``, ``None`` and (nested) tuples thereof.
+    ``int`` in the signed 128-bit range ``[-2**127, 2**127)``, ``float``,
+    ``bool``, ``None`` and (nested) tuples thereof. Any other key, an
+    ``int`` outside that range included, raises ``TypeError``.
     """
+    memo = _MEMOS.get(key.__class__)
+    if memo is None:
+        return _hash_uncached(key)
+    h = memo.get(key)
+    if h is None:
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        h = memo[key] = _hash_uncached(key)
+    return h
+
+
+def _hash_uncached(key: Any) -> int:
     if isinstance(key, bytes):
         return _fnv1a(b"b" + key)
     if isinstance(key, str):
@@ -37,10 +70,13 @@ def stable_hash(key: Any) -> int:
     if isinstance(key, bool):
         return _fnv1a(b"B1" if key else b"B0")
     if isinstance(key, int):
+        if not _INT_MIN <= key < _INT_MAX:
+            raise TypeError(
+                f"stable_hash: int key {key} is outside the supported range "
+                f"[-2**127, 2**127)"
+            )
         return _fnv1a(b"i" + key.to_bytes(16, "little", signed=True))
     if isinstance(key, float):
-        import struct
-
         return _fnv1a(b"f" + struct.pack("<d", key))
     if key is None:
         return _fnv1a(b"n")

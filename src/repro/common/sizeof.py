@@ -11,6 +11,18 @@ one amortized ``logical_sizeof`` pass per batch), so dispatch goes through
 a per-exact-type table populated lazily from the type rules below instead
 of an ``isinstance`` chain per call. The table is a pure cache: a type's
 handler is chosen by the same rule order once, then reused.
+
+Containers take a uniform-type fast path. One C-level pass,
+``set(map(type, items))`` (over the keys and the values separately for a
+dict), finds whether every item has the same *exact* type. If it is a
+fixed-width scalar (``int``, ``float``, ``bool``, ``None``) the items sum to
+``width * len``; if it is ``str``, ``bytes`` or ``bytearray`` they sum to
+``sum(map(len, items))``. Both equal the per-item sum the recursive path
+computes, so the result is exact, not an estimate. Everything else recurses
+per item as before: mixed types (``[True, 1]`` is mixed, since types
+match exactly), subclasses, numpy scalars, nested containers, and
+containers shorter than ``_UNIFORM_MIN_ITEMS``, where the type pass costs
+more than it saves. The fast path keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -26,6 +38,16 @@ _BOOL_SIZE = 1
 _NONE_SIZE = 1
 # Per-container element overhead (length prefixes / tags in a wire format).
 _CONTAINER_OVERHEAD = 4
+# Containers with fewer items than this always size item by item.
+_UNIFORM_MIN_ITEMS = 8
+# Exact item types whose per-item size is a constant, or the item's len().
+_FIXED_WIDTHS: dict[type, int] = {
+    int: _INT_SIZE,
+    float: _FLOAT_SIZE,
+    bool: _BOOL_SIZE,
+    type(None): _NONE_SIZE,
+}
+_LENGTH_SIZED = frozenset({str, bytes, bytearray})
 
 
 def logical_sizeof(obj: Any) -> int:
@@ -72,14 +94,29 @@ def _size_numpy(obj: Any) -> int:
     return int(obj.nbytes)
 
 
+def _size_items(items: Any) -> int:
+    """Summed logical size of a sized collection's items (no framing)."""
+    if len(items) < _UNIFORM_MIN_ITEMS:
+        return sum(map(logical_sizeof, items))
+    types = set(map(type, items))
+    if len(types) == 1:
+        cls = types.pop()
+        width = _FIXED_WIDTHS.get(cls)
+        if width is not None:
+            return width * len(items)
+        if cls in _LENGTH_SIZED:
+            return sum(map(len, items))
+    return sum(map(logical_sizeof, items))
+
+
 def _size_container(obj: Any) -> int:
-    return _CONTAINER_OVERHEAD + sum(map(logical_sizeof, obj))
+    if len(obj) < _UNIFORM_MIN_ITEMS:  # records and pairs: skip the extra call
+        return _CONTAINER_OVERHEAD + sum(map(logical_sizeof, obj))
+    return _CONTAINER_OVERHEAD + _size_items(obj)
 
 
 def _size_dict(obj: Any) -> int:
-    return _CONTAINER_OVERHEAD + sum(
-        logical_sizeof(k) + logical_sizeof(v) for k, v in obj.items()
-    )
+    return _CONTAINER_OVERHEAD + _size_items(obj.keys()) + _size_items(obj.values())
 
 
 def _size_declared(obj: Any) -> int:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.common import partitioner
 from repro.common.partitioner import (
     HashPartitioner,
     ModPartitioner,
@@ -45,6 +46,97 @@ class TestStableHash:
     def test_rejects_unhashable(self):
         with pytest.raises(TypeError):
             stable_hash(["list"])
+
+
+def clear_memos():
+    for memo in partitioner._MEMOS.values():
+        memo.clear()
+
+
+#: stable_hash values from before the memo existed; they must never move
+GOLDEN_HASHES = [
+    ("", 12638206991764949794),
+    ("the", 12616109885787641377),
+    ("naïve 日本", 11435907978525210608),
+    ("\ud800x", 460040725944499463),
+    (b"x", 623269194427660935),
+    (0, 5820242641327481636),
+    (-1, 869225371789770004),
+    (2**100, 5796247472460508212),
+    (-(2**127), 5820383378815892644),
+    (2**127 - 1, 869084634301358996),
+    (True, 653869702546346076),
+    (None, 12638194897137039473),
+    (1.5, 3289171655170387708),
+    (("w", (1, 2.0)), 17573544713554895071),
+    ((1,), 17173289961460954304),
+    ((True,), 12526243450596374171),
+    ((1.0,), 2407854609498206419),
+]
+
+
+class TestStableHashMemo:
+    @pytest.mark.parametrize("key,expected", GOLDEN_HASHES)
+    def test_golden_values_cold_and_warm(self, key, expected):
+        clear_memos()
+        assert stable_hash(key) == expected
+        assert stable_hash(key) == expected
+
+    def test_equal_keys_of_other_types_stay_apart(self):
+        clear_memos()
+        for key in (1, True, 1.0, (1,), (True,), (1.0,)):
+            stable_hash(key)
+        assert len({stable_hash(1), stable_hash(True), stable_hash(1.0)}) == 3
+        assert len({stable_hash((1,)), stable_hash((True,)), stable_hash((1.0,))}) == 3
+
+    def test_subclass_keys_hash_like_their_base(self):
+        class Word(str):
+            pass
+
+        clear_memos()
+        assert stable_hash(Word("the")) == 12616109885787641377
+        assert not partitioner._MEMOS[str]  # subclasses bypass the memo
+        assert stable_hash("the") == stable_hash(Word("the"))
+
+    def test_memo_never_grows_past_its_cap(self):
+        clear_memos()
+        cap = partitioner._MEMO_CAP
+        memo = partitioner._MEMOS[str]
+        for i in range(cap + 100):
+            stable_hash(f"k{i}")
+            assert len(memo) <= cap
+        assert stable_hash("the") == 12616109885787641377
+
+    @pytest.mark.parametrize("key", [2**127, -(2**127) - 1, 10**60])
+    def test_ints_outside_128_bits_raise_type_error(self, key):
+        with pytest.raises(TypeError, match="range"):
+            stable_hash(key)
+        with pytest.raises(TypeError, match="range"):
+            stable_hash(("w", key))
+
+
+class TestMemoIsolation:
+    """The memo is process-global; a warm one must not change any run."""
+
+    @pytest.mark.parametrize("name", ["wordcount", "histogram_ratings"])
+    def test_cold_and_warm_runs_agree(self, name):
+        from repro.evaluation.runner import run_workload
+        from repro.evaluation.workloads import workload_by_name
+
+        workload = workload_by_name(name, "tiny")
+
+        def run():
+            out = {}
+            for engine in ("hamr", "hadoop"):
+                row = run_workload(workload, engines=engine)
+                result = row.hamr_result if engine == "hamr" else row.hadoop_result
+                out[engine] = (result.output, result.makespan)
+            return out
+
+        clear_memos()
+        cold = run()
+        assert any(partitioner._MEMOS.values())
+        assert run() == cold
 
 
 class TestHashPartitioner:
