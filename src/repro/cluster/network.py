@@ -61,7 +61,7 @@ class Network:
             else:
                 self.inter_rack_bytes += int(scaled)
 
-        done = SimEvent(self.sim, name=f"net.{src.node_id}->{dst.node_id}")
+        done = SimEvent(self.sim, name="send")
         if src.node_id == dst.node_id:
             delay = scaled / _LOCAL_MEMCPY_BANDWIDTH
             return done.trigger(value=int(scaled), delay=delay)

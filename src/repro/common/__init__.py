@@ -29,8 +29,9 @@ from repro.common.partitioner import (
     ModPartitioner,
     RangePartitioner,
     stable_hash,
+    stable_hashes,
 )
-from repro.common.sizeof import logical_sizeof, pair_size
+from repro.common.sizeof import logical_sizeof, pair_size, pair_sizes
 from repro.common.rng import derive_seed, make_rng
 from repro.common.stats import Histogram, RunningStats
 
@@ -53,8 +54,10 @@ __all__ = [
     "ModPartitioner",
     "RangePartitioner",
     "stable_hash",
+    "stable_hashes",
     "logical_sizeof",
     "pair_size",
+    "pair_sizes",
     "derive_seed",
     "make_rng",
     "Histogram",

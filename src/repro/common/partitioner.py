@@ -17,6 +17,13 @@ what an earlier run hashed. Each memo is cleared when it reaches
 keeps alive). Tuples, floats, bools, ``None`` and subclasses are hashed
 uncached, but a tuple's items go back through ``stable_hash`` and so hit
 the memo.
+
+``stable_hashes`` hashes a batch of keys. When every key has one memoised
+exact class, one C-level ``map(memo.get, keys)`` finds the hits and only
+the misses go through ``stable_hash`` (which applies the cap); any other
+batch is hashed key by key. ``Partitioner.partition_many`` is the batch
+form of ``partition``; ``HashPartitioner`` routes it through
+``stable_hashes``.
 """
 
 from __future__ import annotations
@@ -62,6 +69,23 @@ def stable_hash(key: Any) -> int:
     return h
 
 
+def stable_hashes(keys: Sequence[Any]) -> list[int]:
+    """``[stable_hash(k) for k in keys]``, with memo hits found in C."""
+    classes = set(map(type, keys))
+    memo = _MEMOS.get(classes.pop()) if len(classes) == 1 else None
+    if memo is None:
+        return list(map(stable_hash, keys))
+    hashes = list(map(memo.get, keys))
+    miss = -1
+    try:
+        while True:
+            miss = hashes.index(None, miss + 1)
+            hashes[miss] = stable_hash(keys[miss])
+    except ValueError:  # no miss left
+        pass
+    return hashes
+
+
 def _hash_uncached(key: Any) -> int:
     if isinstance(key, bytes):
         return _fnv1a(b"b" + key)
@@ -100,6 +124,10 @@ class Partitioner:
     def partition(self, key: Any) -> int:
         raise NotImplementedError
 
+    def partition_many(self, keys: Sequence[Any]) -> list[int]:
+        """``[self.partition(k) for k in keys]``; subclasses may batch it."""
+        return list(map(self.partition, keys))
+
     def __call__(self, key: Any) -> int:
         return self.partition(key)
 
@@ -115,6 +143,11 @@ class HashPartitioner(Partitioner):
 
     def partition(self, key: Any) -> int:
         return stable_hash(key) % self.num_partitions
+
+    def partition_many(self, keys: Sequence[Any]) -> list[int]:
+        if type(self).partition is not HashPartitioner.partition:
+            return super().partition_many(keys)  # a subclass re-routes keys
+        return list(map(self.num_partitions.__rmod__, stable_hashes(keys)))
 
 
 class ModPartitioner(Partitioner):

@@ -23,11 +23,18 @@ per item as before: mixed types (``[True, 1]`` is mixed, since types
 match exactly), subclasses, numpy scalars, nested containers, and
 containers shorter than ``_UNIFORM_MIN_ITEMS``, where the type pass costs
 more than it saves. The fast path keeps no state between calls.
+
+``pair_sizes`` applies the same rule to a batch of pairs: when the keys are
+all of one such exact type, and the values are too, every pair's size is
+computed in C from a constant width or ``len`` plus the pair framing.
+Any other batch is sized by ``pair_size`` pair by pair, so the result
+always equals the per-pair list.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from operator import add
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,6 +86,45 @@ def pair_size(key: Any, value: Any) -> int:
     return ks(key) + vs(value) + _CONTAINER_OVERHEAD
 
 
+def pair_sizes(keys: Sequence[Any], values: Sequence[Any]) -> list[int]:
+    """``[pair_size(k, v) for k, v in zip(keys, values)]``, in C where exact.
+
+    ``keys`` and ``values`` have equal length. Batches of at least
+    ``_UNIFORM_MIN_ITEMS`` pairs whose keys share one exact fixed-width or
+    length-sized type, and whose values do too, never call ``pair_size``.
+    """
+    if len(keys) < _UNIFORM_MIN_ITEMS:
+        return list(map(pair_size, keys, values))
+    fixed = _CONTAINER_OVERHEAD
+    varying = []
+    for items in (keys, values):
+        sizes = _uniform_sizes(items)
+        if sizes is None:
+            return list(map(pair_size, keys, values))
+        if isinstance(sizes, int):
+            fixed += sizes
+        else:
+            varying.append(sizes)
+    if not varying:
+        return [fixed] * len(keys)
+    lengths = varying[0] if len(varying) == 1 else map(add, *varying)
+    return list(map(fixed.__add__, lengths))
+
+
+def _uniform_sizes(items: Sequence[Any]) -> Optional[Union[int, Iterator[int]]]:
+    """Per-item sizes of a single-exact-type sequence: a constant width, or
+    an iterator of ``len``; None when the items need ``logical_sizeof``."""
+    types = set(map(type, items))
+    if len(types) == 1:
+        cls = types.pop()
+        width = _FIXED_WIDTHS.get(cls)
+        if width is not None:
+            return width
+        if cls in _LENGTH_SIZED:
+            return map(len, items)
+    return None
+
+
 # -- per-type handlers ----------------------------------------------------------
 
 
@@ -96,17 +142,10 @@ def _size_numpy(obj: Any) -> int:
 
 def _size_items(items: Any) -> int:
     """Summed logical size of a sized collection's items (no framing)."""
-    if len(items) < _UNIFORM_MIN_ITEMS:
+    sizes = _uniform_sizes(items) if len(items) >= _UNIFORM_MIN_ITEMS else None
+    if sizes is None:
         return sum(map(logical_sizeof, items))
-    types = set(map(type, items))
-    if len(types) == 1:
-        cls = types.pop()
-        width = _FIXED_WIDTHS.get(cls)
-        if width is not None:
-            return width * len(items)
-        if cls in _LENGTH_SIZED:
-            return sum(map(len, items))
-    return sum(map(logical_sizeof, items))
+    return sizes * len(items) if isinstance(sizes, int) else sum(sizes)
 
 
 def _size_container(obj: Any) -> int:

@@ -14,9 +14,9 @@ the scale-model ``aggregated`` flag; the bin adds the routing state
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from repro.common.sizeof import pair_size
+from repro.common.sizeof import pair_size, pair_sizes
 from repro.dataplane.batch import RecordBatch
 
 
@@ -72,10 +72,11 @@ class Bin(RecordBatch):
 class BinPacker:
     """Accumulates emitted pairs into bins for one producing flowlet instance.
 
-    One open bin per (edge, partition). ``add`` returns the sealed bin when
-    the open bin crosses the target size, else None; ``drain`` seals and
-    returns everything left (called at task/flowlet completion so no pair is
-    ever stranded).
+    One open bin per (edge, partition). ``pack`` appends a batch of routed
+    pairs in order and returns the bins they sealed, in sealing order: a bin
+    seals as soon as its open bytes reach the target size. ``add`` is the
+    one-pair form. ``drain`` seals and returns everything left (called at
+    flowlet completion so no pair is ever stranded).
     """
 
     def __init__(self, bin_size: int, aggregated: bool = False):
@@ -89,18 +90,34 @@ class BinPacker:
         self.pairs_packed = 0
 
     def add(self, edge_id: int, partition: int, key: Any, value: Any) -> Optional[Bin]:
-        slot = (edge_id, partition)
-        open_bin = self._open.get(slot)
-        if open_bin is None:
-            open_bin = Bin(edge_id, partition, aggregated=self.aggregated)
-            self._open[slot] = open_bin
-        open_bin.append(key, value)
-        self.pairs_packed += 1
-        if open_bin.nbytes >= self.bin_size:
-            del self._open[slot]
-            self.bins_sealed += 1
-            return open_bin
-        return None
+        sealed = self.pack((edge_id,), (partition,), (key,), (value,))
+        return sealed[0] if sealed else None
+
+    def pack(
+        self,
+        edge_ids: Iterable[int],
+        partitions: Iterable[int],
+        keys: Sequence[Any],
+        values: Sequence[Any],
+    ) -> list[Bin]:
+        """Append ``zip(keys, values)`` in order, pair ``i`` to the open bin
+        of ``(edge_ids[i], partitions[i])``; returns the bins sealed."""
+        open_bins = self._open
+        bin_size = self.bin_size
+        sealed: list[Bin] = []
+        slots = zip(edge_ids, partitions)
+        for slot, pair, size in zip(slots, zip(keys, values), pair_sizes(keys, values)):
+            open_bin = open_bins.get(slot)
+            if open_bin is None:
+                open_bin = open_bins[slot] = Bin(*slot, aggregated=self.aggregated)
+            open_bin.records.append(pair)
+            open_bin._nbytes += size
+            if open_bin._nbytes >= bin_size:
+                del open_bins[slot]
+                sealed.append(open_bin)
+        self.pairs_packed += len(keys)
+        self.bins_sealed += len(sealed)
+        return sealed
 
     def drain(self, edge_id: Optional[int] = None) -> list[Bin]:
         """Seal and return all open bins (optionally only one edge's)."""

@@ -3,14 +3,21 @@
 One context exists per (flowlet, node) instance; every fine-grain task of
 that instance on that node shares it. User functions are plain callables
 (not simulation processes), so the context *buffers* effects: emitted
-pairs go into bin packers, disk traffic accumulates as deferred charges —
-and the surrounding engine task process pays the accumulated costs and
-ships sealed bins at its next yield point. Determinism is preserved
-because processes only interleave at yields.
+pairs are staged with their route, disk traffic accumulates as deferred
+charges — and the surrounding engine task process pays the accumulated
+costs and ships sealed bins at its next yield point. Determinism is
+preserved because processes only interleave at yields.
+
+Staged pairs are partitioned, sized and packed once per drain
+(``take_sealed``/``pack_staged``), in emit order, with the batch kernels
+``Partitioner.partition_many`` and ``pair_sizes``. Packing is a pure
+function of the pair sequence, so this seals the same bins in the same
+order as packing each pair at emit time.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Iterable, Optional, TYPE_CHECKING
 
 from repro.common.errors import GraphError
@@ -48,15 +55,44 @@ class TaskContext:
         self.num_workers = num_workers
         self._packer = packer
         self._out_edges = out_edges
-        self._by_name = {e.dst.name: e for e in out_edges}
+        # Routes: one per out-edge in its own mode, then one broadcast
+        # route per out-edge. Emits stage a route index with the pair.
+        self._routes: list[tuple[Edge, Optional[int]]] = [
+            (e, self._fixed_partition(e.mode)) for e in out_edges
+        ] + [(e, BROADCAST_PARTITION) for e in out_edges]
+        self._route_of = {e.dst.name: i for i, e in enumerate(out_edges)}
+        self._all_routes = tuple(range(len(out_edges)))
         self._localfs = localfs
         self._kvstore = kvstore
+        # Emitted pairs not yet packed: parallel key, value and route lists.
+        self._keys: list[Any] = []
+        self._values: list[Any] = []
+        self._staged_routes: list[int] = []
         # Buffers drained by the engine task process.
         self.sealed_bins: list[Bin] = []
         self.output_pairs: list[tuple[Any, Any]] = []  # sink output (no out-edges)
         self.deferred_disk_bytes: int = 0
         self.deferred_updates: int = 0  # accumulator updates for contention modeling
         self.counters: dict[str, float] = {}
+
+    def _fixed_partition(self, mode: EdgeMode) -> Optional[int]:
+        """The partition every pair on an edge of ``mode`` takes (None:
+        the edge's partitioner decides per key)."""
+        if mode is EdgeMode.SHUFFLE:
+            return None
+        if mode is EdgeMode.LOCAL:
+            return self.worker_index
+        return BROADCAST_PARTITION
+
+    def _routes_to(self, to: Optional[str]) -> tuple[int, ...]:
+        if to is None:
+            return self._all_routes
+        try:
+            return (self._route_of[to],)
+        except KeyError:
+            raise GraphError(
+                f"{self._instance.flowlet.name!r} has no edge to {to!r}"
+            ) from None
 
     # -- emission ---------------------------------------------------------------
 
@@ -68,28 +104,17 @@ class TaskContext:
         edges is a sink: its pairs become job output (and are charged as a
         local disk write, "finally to disk as output", §3.1).
         """
-        if to is not None:
-            try:
-                edges: Iterable[Edge] = (self._by_name[to],)
-            except KeyError:
-                raise GraphError(
-                    f"{self._instance.flowlet.name!r} has no edge to {to!r}"
-                ) from None
-        elif self._out_edges:
-            edges = self._out_edges
+        if to is None:
+            routes = self._all_routes
+            if not routes:
+                self.output_pairs.append((key, value))
+                return
         else:
-            self.output_pairs.append((key, value))
-            return
-        for edge in edges:
-            if edge.mode is EdgeMode.SHUFFLE:
-                partition = edge.partitioner.partition(key)
-            elif edge.mode is EdgeMode.LOCAL:
-                partition = self.worker_index
-            else:  # BROADCAST
-                partition = BROADCAST_PARTITION
-            sealed = self._packer.add(edge.edge_id, partition, key, value)
-            if sealed is not None:
-                self.sealed_bins.append(sealed)
+            routes = self._routes_to(to)
+        for route in routes:
+            self._keys.append(key)
+            self._values.append(value)
+            self._staged_routes.append(route)
 
     def broadcast(self, key: Any, value: Any, to: Optional[str] = None) -> None:
         """Explicitly replicate one pair to all workers of the target edge(s).
@@ -97,17 +122,37 @@ class TaskContext:
         Equivalent to emitting on a BROADCAST edge; usable on SHUFFLE edges
         for control data (e.g. K-Means centroid updates, Alg. 1 step 5).
         """
-        edges = (
-            [self._by_name[to]]
-            if to is not None
-            else list(self._out_edges)
-        )
-        if to is not None and to not in self._by_name:
-            raise GraphError(f"{self._instance.flowlet.name!r} has no edge to {to!r}")
-        for edge in edges:
-            sealed = self._packer.add(edge.edge_id, BROADCAST_PARTITION, key, value)
-            if sealed is not None:
-                self.sealed_bins.append(sealed)
+        offset = len(self._out_edges)
+        for route in self._routes_to(to):
+            self._keys.append(key)
+            self._values.append(value)
+            self._staged_routes.append(offset + route)
+
+    def pack_staged(self) -> None:
+        """Partition, size and pack every staged pair, in emit order."""
+        keys, values, routes = self._keys, self._values, self._staged_routes
+        if not keys:
+            return
+        self._keys, self._values, self._staged_routes = [], [], []
+        distinct = set(routes)
+        if len(distinct) == 1:
+            route = distinct.pop()
+            edge_ids: Any = repeat(self._routes[route][0].edge_id)
+            partitions: Any = self._partitions(route, keys)
+        else:
+            edge_ids = [self._routes[r][0].edge_id for r in routes]
+            partitions = [0] * len(keys)
+            for route in distinct:
+                at = [i for i, r in enumerate(routes) if r == route]
+                for i, p in zip(at, self._partitions(route, [keys[i] for i in at])):
+                    partitions[i] = p
+        self.sealed_bins.extend(self._packer.pack(edge_ids, partitions, keys, values))
+
+    def _partitions(self, route: int, keys: list[Any]) -> Iterable[int]:
+        edge, partition = self._routes[route]
+        if partition is None:
+            return edge.partitioner.partition_many(keys)
+        return repeat(partition)
 
     # -- locality-aware local disk I/O (§3.3) --------------------------------------
 
@@ -165,6 +210,7 @@ class TaskContext:
     # -- engine-side draining ---------------------------------------------------------------
 
     def take_sealed(self) -> list[Bin]:
+        self.pack_staged()
         sealed, self.sealed_bins = self.sealed_bins, []
         return sealed
 

@@ -27,12 +27,16 @@ completed and its own inbox has drained.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Optional, TYPE_CHECKING
 
 from repro.common.errors import JobError
+from repro.common.sizeof import pair_sizes
 from repro.core.bins import Bin, BinPacker
 from repro.core.context import TaskContext
-from repro.dataplane import RecordBatch, chunk_records, pair_nbytes, spill_batch
+from repro.dataplane import RecordBatch, chunk_records, spill_batch
 from repro.core.flowlet import Flowlet, FlowletKind, FlowletStatus, Loader, Map, PartialReduce, Reduce
 from repro.core.graph import Edge
 from repro.core.sources import SourceSplit
@@ -427,22 +431,19 @@ class NodeRuntime:
         if prof is not None:
             prof.push(_hostprof.ENGINE, f"partial_reduce:{flowlet.name}")
             prof.units(bin_.nrecords, bin_.nbytes)
-        touched: dict[Any, int] = {}
-        for key, value in bin_:
-            if key in instance.accs:
-                instance.accs[key] = flowlet.combine(instance.accs[key], value)
-            else:
-                instance.accs[key] = flowlet.combine(flowlet.initial(key), value)
-            touched[key] = touched.get(key, 0) + 1
+        accs, combine, initial = instance.accs, flowlet.combine, flowlet.initial
+        for key, value in bin_.records:
+            accs[key] = combine(accs[key] if key in accs else initial(key), value)
+        touched = Counter(map(itemgetter(0), bin_.records))
         # Memory delta for touched accumulators; spill everything if over
         # budget. Accumulator stores of aggregated-output flowlets are
         # key-space-bounded, hence charged unscaled.
         acc_div = self._divisor(flowlet.aggregated_output)
-        delta = 0
-        for key in touched:
-            new_size = pair_nbytes(key, instance.accs[key])
-            delta += new_size - instance.acc_bytes.get(key, 0)
-            instance.acc_bytes[key] = new_size
+        keys = list(touched)
+        new_sizes = pair_sizes(keys, list(map(accs.__getitem__, keys)))
+        acc_bytes = instance.acc_bytes
+        delta = sum(new_sizes) - sum(map(acc_bytes.get, keys, repeat(0)))
+        acc_bytes.update(zip(keys, new_sizes))
         if prof is not None:  # frame ends before the first possible yield
             prof.pop()
         if delta > 0 and not self.node.alloc(delta / acc_div):
@@ -685,7 +686,7 @@ class NodeRuntime:
         size = 0
         for key in keys:
             values = instance.groups[key]
-            kv_bytes = sum(pair_nbytes(key, v) for v in values)
+            kv_bytes = sum(pair_sizes([key] * len(values), values))
             chunk.append(key)
             nrecords += len(values)
             size += kv_bytes
@@ -948,11 +949,14 @@ class NodeRuntime:
     # -- completion ---------------------------------------------------------------------------
 
     def _complete_instance(self, instance: FlowletInstance):
-        """Flush open bins, notify downstream on every node, finish."""
+        """Tear down, flush open bins, notify downstream on every node, finish."""
+        # teardown runs first so its emits ship like any other: packing
+        # the staged pairs before draining puts every pair in a bin
+        instance.flowlet.teardown(instance.ctx)
+        instance.ctx.pack_staged()
         for bin_ in instance.packer.drain():
             yield from self._ship(instance, bin_, None)
         yield from self._drain_ctx(instance)
-        instance.flowlet.teardown(instance.ctx)
         self.engine.collect_counters(instance.ctx)
         instance.status = FlowletStatus.COMPLETE
         out_edges = self.graph.out_edges(instance.flowlet)

@@ -10,9 +10,10 @@ target-resolution rule, one spill-id space per node.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
-from repro.common.sizeof import pair_size
+from repro.common.sizeof import pair_sizes
 from repro.dataplane.batch import RecordBatch
 from repro.obs import hostprof as _hostprof
 
@@ -46,36 +47,29 @@ def partition_batch(
     *,
     aggregated: bool = False,
 ) -> dict[int, RecordBatch]:
-    """Split key-value pairs into per-partition batches, sized as they go.
+    """Split key-value pairs into per-partition batches with their sizes.
 
-    One pass computes both the partition assignment and each partition's
-    logical byte count, replacing the separate partition-then-re-size
-    loops both engines carried. Only non-empty partitions appear in the
-    result; pair order within a partition is input order.
+    The whole batch is partitioned with ``partition_many`` and sized with
+    ``pair_sizes`` (the kernels HAMR's emission path uses), then one pass
+    groups the pairs; no pair is re-sized downstream. Only non-empty
+    partitions appear in the result, in order of first appearance; pair
+    order within a partition is input order.
     """
     prof = _hostprof.current()
     if prof is not None:
         prof.push(_hostprof.DATAPLANE, "partition_batch")
-    part = partitioner.partition
+    pairs = pairs if isinstance(pairs, list) else list(pairs)
+    keys = list(map(itemgetter(0), pairs))
+    sizes = pair_sizes(keys, list(map(itemgetter(1), pairs)))
     batches: dict[int, RecordBatch] = {}
-    sizes: dict[int, int] = {}
-    nrecords = 0
-    nbytes = 0
-    for pair in pairs:
-        p = part(pair[0])
+    for pair, p, size in zip(pairs, partitioner.partition_many(keys), sizes):
         batch = batches.get(p)
         if batch is None:
-            batch = batches[p] = RecordBatch()
-            sizes[p] = 0
+            batch = batches[p] = RecordBatch(nbytes=0, aggregated=aggregated)
         batch.records.append(pair)
-        sizes[p] += pair_size(pair[0], pair[1])
-    for p, batch in batches.items():
-        batch._nbytes = sizes[p]
-        batch.aggregated = aggregated
-        nrecords += len(batch.records)
-        nbytes += sizes[p]
+        batch._nbytes += size
     if prof is not None:
-        prof.units(nrecords, nbytes)
+        prof.units(len(pairs), sum(sizes))
         prof.pop()
     return batches
 

@@ -11,6 +11,14 @@ Design notes
 * Processes are generators resumed by the kernel. A process that raises
   propagates the exception to joiners; a failure nobody observes aborts the
   simulation rather than passing silently.
+* Dispatch does no work that models nothing. Event names are static
+  strings (``"timeout"``, ``"put"``, ``"completion"``, ...), never
+  formatted per event; errors name the owning queue, resource or process.
+  A new process is its own start entry on the heap: firing it resumes the
+  generator directly, with no start event or callback. The kernel keeps
+  the set of *alive* processes (added at spawn, removed at exit); a process
+  that is alive when the heap drains can never be resumed again, so that
+  set is exactly the deadlocked one :class:`DeadlockError` names.
 * Dual-clock hook: when a host-time profiler is attached
   (``Simulator.hostprof``, set externally — the kernel never imports
   ``repro.obs``), every event dispatch and every process resume is
@@ -173,12 +181,12 @@ class Process:
         self.name = name or getattr(generator, "__name__", "process")
         self._prof_label: Optional[str] = None  # cached hostprof label
         self.generator = generator
-        self.completion = SimEvent(sim, name=f"{self.name}.completion")
+        self.completion = SimEvent(sim, name="completion")
         self._waited_on = False
-        # Kick off at the current time, after already-queued events.
-        start = SimEvent(sim, name=f"{self.name}.start")
-        start.add_callback(lambda _evt: self._resume(None, None))
-        start.trigger()
+        sim._alive.add(self)
+        # Kick off at the current time, after already-queued events: the
+        # process is its own start entry (see ``_fire``).
+        sim._schedule(0.0, self)
 
     @property
     def alive(self) -> bool:
@@ -186,9 +194,14 @@ class Process:
 
     # -- kernel internals ---------------------------------------------------
 
-    def _resume(self, value: Any, exception: Optional[BaseException]) -> None:
-        self.sim._blocked.discard(self)
-        prof = self.sim.hostprof
+    def _fire(self) -> None:
+        """Start: the kernel dispatches a new process like an event."""
+        self._resume(None)
+
+    def _resume(self, event: Optional[SimEvent]) -> None:
+        """Run to the next yield; ``event`` is the one waited on (None at start)."""
+        sim = self.sim
+        prof = sim.hostprof
         if prof is not None:
             label = self._prof_label
             if label is None:
@@ -197,33 +210,36 @@ class Process:
             prof.push(_HOSTPROF_ENGINE_BUCKET, label)
         try:
             try:
-                if exception is not None:
-                    yielded = self.generator.throw(exception)
+                if event is None:
+                    yielded = self.generator.send(None)
+                elif event.exception is not None:
+                    yielded = self.generator.throw(event.exception)
                 else:
-                    yielded = self.generator.send(value)
+                    yielded = self.generator.send(event.value)
             except StopIteration as stop:
+                sim._alive.discard(self)
                 self.completion.trigger(stop.value)
                 return
             except BaseException as exc:  # noqa: BLE001 - must forward user errors
+                sim._alive.discard(self)
                 self.completion.fail(exc)
-                self.sim._note_failure(self, exc)
+                sim._note_failure(self, exc)
                 return
-            event = self._as_event(yielded)
-            self.sim._blocked.add(self)
-            event.add_callback(self._on_event)
+            if isinstance(yielded, SimEvent):
+                event = yielded
+            else:
+                try:
+                    event = self._as_event(yielded)
+                except BaseException:
+                    # never resumable, and never blocked on an event either
+                    sim._alive.discard(self)
+                    raise
+            event.add_callback(self._resume)
         finally:
             if prof is not None:
                 prof.pop()
 
-    def _on_event(self, event: SimEvent) -> None:
-        if event.exception is not None:
-            self._resume(None, event.exception)
-        else:
-            self._resume(event.value, None)
-
     def _as_event(self, yielded: Any) -> SimEvent:
-        if isinstance(yielded, SimEvent):
-            return yielded
         if isinstance(yielded, Process):
             yielded._waited_on = True
             return yielded.completion
@@ -251,9 +267,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        self._heap: list[tuple[float, int, SimEvent | Process]] = []
         self._sequence = 0
-        self._blocked: set[Process] = set()
+        self._alive: set[Process] = set()
         self._failures: list[tuple[Process, BaseException]] = []
         self._processes_started = 0
         #: optional host-time profiler (duck-typed repro.obs.hostprof
@@ -275,7 +291,7 @@ class Simulator:
         """An event that fires ``delay`` virtual seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
-        event = SimEvent(self, name=f"timeout({delay:g})")
+        event = SimEvent(self, name="timeout")
         event.triggered = True
         event.value = value
         self._schedule(delay, event)
@@ -301,11 +317,12 @@ class Simulator:
         """
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is before now={self.now}")
-        while self._heap:
-            time, _seq, event = heapq.heappop(self._heap)
+        heap, heappop = self._heap, heapq.heappop
+        while heap:
+            time, _seq, event = heappop(heap)
             if until is not None and time > until:
                 # Put it back; the caller may resume later.
-                heapq.heappush(self._heap, (time, _seq, event))
+                heapq.heappush(heap, (time, _seq, event))
                 self.now = until
                 return self.now
             if time < self.now:
@@ -324,11 +341,12 @@ class Simulator:
             progress = self.progress
             if progress is not None:
                 progress.tick(self.now)
-            self._raise_unobserved_failure()
-        if self._blocked:
-            alive = ", ".join(sorted(p.name for p in self._blocked))
+            if self._failures:
+                self._raise_unobserved_failure()
+        if self._alive:
+            blocked = ", ".join(sorted(p.name for p in self._alive))
             raise DeadlockError(
-                f"simulation deadlocked at t={self.now:g}: blocked processes: {alive}"
+                f"simulation deadlocked at t={self.now:g}: blocked processes: {blocked}"
             )
         return self.now
 
@@ -338,7 +356,7 @@ class Simulator:
 
     # -- kernel internals ----------------------------------------------------
 
-    def _schedule(self, delay: float, event: SimEvent) -> None:
+    def _schedule(self, delay: float, event: SimEvent | Process) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         self._sequence += 1
@@ -349,8 +367,7 @@ class Simulator:
             self._failures.append((process, exc))
 
     def _raise_unobserved_failure(self) -> None:
-        if self._failures:
-            process, exc = self._failures[0]
-            raise SimulationError(
-                f"process {process.name!r} failed with unobserved exception"
-            ) from exc
+        process, exc = self._failures[0]
+        raise SimulationError(
+            f"process {process.name!r} failed with unobserved exception"
+        ) from exc

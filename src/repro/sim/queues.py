@@ -69,7 +69,7 @@ class SimQueue:
         self._check_weight(weight)
         if self._closed:
             raise SimulationError(f"{self.name}: put on closed queue")
-        event = SimEvent(self.sim, name=f"{self.name}.put")
+        event = SimEvent(self.sim, name="put")
         if self._fits(weight) and not self._putters:
             self._accept(item, weight)
             event.trigger()
@@ -95,7 +95,7 @@ class SimQueue:
         for the same slot, which mirrors rescheduled flowlet tasks racing
         for buffer space.
         """
-        event = SimEvent(self.sim, name=f"{self.name}.space")
+        event = SimEvent(self.sim, name="space")
         if self.capacity is None or self._weight < self.capacity:
             event.trigger()
         else:
@@ -115,7 +115,7 @@ class SimQueue:
 
     def get(self) -> SimEvent:
         """Dequeue; the event fires with the item, or fails with QueueClosed."""
-        event = SimEvent(self.sim, name=f"{self.name}.get")
+        event = SimEvent(self.sim, name="get")
         if self._items:
             item = self._pop_item()
             event.trigger(item)

@@ -52,7 +52,7 @@ class Resource:
             raise SimulationError(
                 f"{self.name}: cannot acquire {n} of {self.capacity}"
             )
-        event = SimEvent(self.sim, name=f"{self.name}.acquire({n})")
+        event = SimEvent(self.sim, name="acquire")
         self._waiters.append((event, n))
         self._dispatch()
         return event
@@ -148,7 +148,7 @@ class BandwidthResource:
         self.busy_time += self.latency + occupancy
         if self.observer is not None:
             self.observer(start, finish, nbytes)
-        event = SimEvent(self.sim, name=f"{self.name}.transfer({int(nbytes)})")
+        event = SimEvent(self.sim, name="transfer")
         return event.trigger(value=int(nbytes), delay=finish - self.sim.now)
 
     def eta(self, nbytes: float) -> float:
@@ -214,7 +214,7 @@ class SerializedCell:
         finish = start + n_updates * per_update
         self._free_at = finish
         self.total_updates += n_updates
-        event = SimEvent(self.sim, name=f"{self.name}.update({n_updates})")
+        event = SimEvent(self.sim, name="update")
         return event.trigger(value=n_updates, delay=finish - self.sim.now)
 
     @property
@@ -249,7 +249,7 @@ class StripedBandwidth:
         per_device = nbytes / ndev
         events = [device.transfer(per_device) for device in self.devices]
         done = self.sim.all_of(events)
-        total = SimEvent(self.sim, name=f"stripe.transfer({int(nbytes)})")
+        total = SimEvent(self.sim, name="transfer")
         done.add_callback(
             lambda evt: total.fail(evt.exception)
             if evt.exception is not None

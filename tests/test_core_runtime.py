@@ -106,6 +106,31 @@ class TestCompletionPropagation:
         assert engine.instance_status("count") == ["complete"] * 3
 
 
+    def test_setup_and_teardown_emits_ship(self):
+        """Pairs emitted by ``setup`` and ``teardown`` reach downstream
+        once per worker, like any other emit."""
+
+        class Marked(Map):
+            def setup(self, ctx):
+                ctx.emit("setup", ctx.worker_index)
+
+            def map(self, ctx, key, value):
+                ctx.emit(key, value)
+
+            def teardown(self, ctx):
+                ctx.emit("teardown", ctx.worker_index)
+
+        engine = make_engine(num_workers=3)
+        g = FlowletGraph("marked")
+        loader = g.add(Loader("load", CollectionSource([("k", 1)] * 4)))
+        marked = g.add(Marked("marked"))
+        collect = g.add(Reduce("collect", fn=lambda ctx, k, vs: ctx.emit(k, sorted(vs))))
+        g.connect(loader, marked)
+        g.connect(marked, collect)
+        out = dict(engine.run(g).output("collect"))
+        assert out == {"k": [1, 1, 1, 1], "setup": [0, 1, 2], "teardown": [0, 1, 2]}
+
+
 class TestAggregatedCharging:
     def test_aggregated_output_preserves_results(self):
         items = [(f"w{i % 5}", 1) for i in range(50)]

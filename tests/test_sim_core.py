@@ -229,3 +229,67 @@ class TestDeadlock:
         assert sim.run(until=4.0) == 4.0
         assert sim.pending_events == 1
         assert sim.run() == 10.0
+
+
+class TestKernelGuards:
+    def test_deadlock_names_exactly_the_blocked_processes_sorted(self):
+        sim = Simulator()
+        never = sim.event("never")
+
+        def stuck(sim):
+            yield never
+
+        def done(sim):
+            yield 1.0
+
+        def failing(sim):
+            yield 0.5
+            raise RuntimeError("observed")
+
+        def joiner(sim, child):
+            try:
+                yield child
+            except RuntimeError:
+                pass
+
+        for name in ("zeta", "alpha", "mid"):
+            sim.spawn(stuck(sim), name=name)
+        sim.spawn(done(sim), name="finished")
+        sim.spawn(joiner(sim, sim.spawn(failing(sim), name="failed")), name="joiner")
+        with pytest.raises(DeadlockError) as info:
+            sim.run()
+        assert str(info.value).endswith("blocked processes: alpha, mid, zeta")
+
+    def test_same_time_spawns_start_in_spawn_order(self):
+        sim = Simulator()
+        order = []
+
+        def proc(sim, tag):
+            order.append(tag)
+            yield 0.0
+
+        for tag in range(6):
+            sim.spawn(proc(sim, tag))
+        sim.run()
+        assert order == list(range(6))
+
+    def test_spawn_from_a_callback_starts_after_queued_events(self):
+        sim = Simulator()
+        order = []
+
+        def proc(sim, tag):
+            order.append(tag)
+            yield 0.0
+
+        def spawn_late(_event):
+            order.append("callback")
+            sim.spawn(proc(sim, "late"))
+
+        trigger = sim.event("go")
+        trigger.add_callback(spawn_late)
+        trigger.trigger()
+        sim.spawn(proc(sim, "early"))
+        queued = sim.timeout(0.0)
+        queued.add_callback(lambda _e: order.append("queued"))
+        sim.run()
+        assert order == ["callback", "early", "queued", "late"]
